@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -23,7 +24,9 @@ ParameterSpace box(std::int64_t lo, std::int64_t hi, std::int64_t def,
                    std::size_t dims) {
   ParameterSpace space;
   for (std::size_t d = 0; d < dims; ++d) {
-    space.add({"x" + std::to_string(d), lo, hi, def});
+    std::string name = "x";
+    name += std::to_string(d);
+    space.add({std::move(name), lo, hi, def});
   }
   return space;
 }

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -207,7 +208,9 @@ void BM_SimplexStep(benchmark::State& state) {
   const auto dims = static_cast<std::size_t>(state.range(0));
   harmony::ParameterSpace space;
   for (std::size_t d = 0; d < dims; ++d) {
-    space.add({"x" + std::to_string(d), 0, 100000, 50000});
+    std::string name = "x";
+    name += std::to_string(d);
+    space.add({std::move(name), 0, 100000, 50000});
   }
   harmony::SimplexTuner tuner(std::move(space));
   common::Rng rng(1);

@@ -218,7 +218,7 @@ double bench_event_queue(std::uint64_t iterations) {
     }
   }
   const double elapsed = seconds_since(start);
-  if (q.live_size() == 0xdeadbeef) std::printf("!");
+  if (q.size() == 0xdeadbeef) std::printf("!");
   return static_cast<double>(ops) / elapsed;
 }
 

@@ -15,7 +15,7 @@ bool endpoint_matches(NodeId pattern, NodeId id) {
 }  // namespace
 
 bool Network::send(Node& from, Node& to, common::Bytes bytes,
-                   sim::EventFn on_delivered) {
+                   sim::EventFn&& on_delivered) {
   ++messages_;
   bytes_ += bytes;
   common::SimTime extra = common::SimTime::zero();
@@ -25,6 +25,7 @@ bool Network::send(Node& from, Node& to, common::Bytes bytes,
       // charged (the sender pushed the frame; the network lost it).
       if (fault->drop > 0.0 && fault_rng_.uniform() < fault->drop) {
         ++dropped_;
+        on_delivered.reset();
         from.nic().submit(from.nic_time(bytes), {});
         return false;
       }
@@ -164,10 +165,10 @@ void Network::nic_done(Msg* msg) {
     msgs_.release(msg);
     return;
   }
-  const common::SimTime latency = msg->latency;
-  sim::EventFn cb = std::move(msg->on_delivered);
+  // Scheduling runs nothing, so the callback moves straight from the
+  // pooled message into its queue node before the message is recycled.
+  sim_.schedule(msg->latency, std::move(msg->on_delivered));
   msgs_.release(msg);
-  sim_.schedule(latency, std::move(cb));
 }
 
 }  // namespace ah::cluster

@@ -74,7 +74,7 @@ class Network {
   /// destroyed uninvoked, and the caller's hop timeout (if any) is what
   /// eventually notices the loss, exactly as on a real network.
   bool send(Node& from, Node& to, common::Bytes bytes,
-            sim::EventFn on_delivered);
+            sim::EventFn&& on_delivered);
 
   // -- Link faults (driven by sim::FaultInjector) ---------------------------
   /// Degrades the directed link from->to (kAnyNode matches either side):

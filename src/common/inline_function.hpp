@@ -9,9 +9,20 @@
 // throwing-move targets.  Move-only on purpose: event/task closures are
 // consumed exactly once, and dropping copyability lets the queue hold
 // move-only callables (e.g. std::packaged_task) without shared_ptr wrappers.
+//
+// Trivially relocatable targets: a callable that is trivially copyable and
+// trivially destructible (a lambda capturing pointers, ids and times by
+// value) keeps no manager at all, so moving it is a plain buffer copy and
+// destroying it does nothing; only the invoke thunk is type-erased.  Its
+// buffer is zeroed at construction so the whole-buffer copy never reads
+// indeterminate bytes (an empty-capture lambda occupies none of them).
+// Every other callable pays one indirect manager call per move and per
+// destroy, which is why the simulator's hot-path closures capture only
+// trivially-copyable state (DESIGN.md).
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -82,6 +93,13 @@ class InlineFunction<R(Args...), Capacity, Policy> {
     return fits_inline<std::decay_t<F>>;
   }
 
+  /// True when the target moves as a plain buffer copy and is destroyed
+  /// without a call: inline, trivially copyable and trivially destructible.
+  template <typename F>
+  [[nodiscard]] static constexpr bool relocates_trivially() {
+    return trivial_inline<std::decay_t<F>>;
+  }
+
  private:
   enum class Op { kDestroy, kMove };
 
@@ -95,23 +113,33 @@ class InlineFunction<R(Args...), Capacity, Policy> {
       sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<F>;
 
+  template <typename F>
+  static constexpr bool trivial_inline =
+      fits_inline<F> && std::is_trivially_copyable_v<F> &&
+      std::is_trivially_destructible_v<F>;
+
   template <typename F, typename Arg>
   void construct(Arg&& callable) {
     if constexpr (fits_inline<F>) {
+      if constexpr (trivial_inline<F>) {
+        std::memset(static_cast<void*>(&storage_), 0, Capacity);
+      }
       ::new (static_cast<void*>(&storage_)) F(std::forward<Arg>(callable));
       invoke_ = [](void* self, Args&&... args) -> R {
         return (*std::launder(reinterpret_cast<F*>(self)))(
             std::forward<Args>(args)...);
       };
-      manage_ = [](void* self, void* from, Op op) {
-        if (op == Op::kDestroy) {
-          std::launder(reinterpret_cast<F*>(self))->~F();
-        } else {
-          F* source = std::launder(reinterpret_cast<F*>(from));
-          ::new (self) F(std::move(*source));
-          source->~F();
-        }
-      };
+      if constexpr (!trivial_inline<F>) {
+        manage_ = [](void* self, void* from, Op op) {
+          if (op == Op::kDestroy) {
+            std::launder(reinterpret_cast<F*>(self))->~F();
+          } else {
+            F* source = std::launder(reinterpret_cast<F*>(from));
+            ::new (self) F(std::move(*source));
+            source->~F();
+          }
+        };
+      }
     } else {
       static_assert(Policy == SboPolicy::kRelaxed || sizeof(F) == 0,
                     "capture exceeds the inline buffer (or has a throwing "
@@ -136,7 +164,11 @@ class InlineFunction<R(Args...), Capacity, Policy> {
 
   void move_from(InlineFunction& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(&storage_, &other.storage_, Op::kMove);
+    if (other.manage_ == nullptr) {
+      std::memcpy(&storage_, &other.storage_, Capacity);
+    } else {
+      other.manage_(&storage_, &other.storage_, Op::kMove);
+    }
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.invoke_ = nullptr;

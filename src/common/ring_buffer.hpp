@@ -33,7 +33,7 @@ class RingBuffer {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return buffer_.size(); }
 
-  void push_back(T value) {
+  void push_back(T&& value) {
     if (size_ == buffer_.size()) grow();
     buffer_[(head_ + size_) & mask_] = std::move(value);
     ++size_;

@@ -10,7 +10,7 @@ AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
-EventId EventQueue::push(common::SimTime time, EventFn fn) {
+EventId EventQueue::push(common::SimTime time, EventFn&& fn) {
   std::uint32_t n;
   if (!free_slots_.empty()) {
     n = free_slots_.back();
@@ -56,6 +56,7 @@ void EventQueue::append(List& list, std::uint32_t n) {
 }
 
 void EventQueue::place(std::uint32_t n) {
+  ++placements_;
   const std::uint64_t tick = tick_of(nodes_[n].time);
   if (tick <= cursor_) {
     // At or behind the drain point (same-tick reschedules, or pushes after
@@ -128,18 +129,29 @@ common::SimTime EventQueue::next_time() {
 }
 
 EventQueue::Entry EventQueue::pop() {
+  Entry entry{};
+  [[maybe_unused]] const bool popped =
+      pop_due(common::SimTime::max(), entry);
+  assert(popped);
+  return entry;
+}
+
+bool EventQueue::pop_due(common::SimTime until, Entry& out) {
+  if (live_count_ == 0) return false;
   ensure_ready();
-  assert(ready_.head != kNil);
   const std::uint32_t n = ready_.head;
   Node& node = nodes_[n];
+  if (node.time > until) return false;
   ready_.head = node.next;
   if (ready_.head == kNil) ready_.tail = kNil;
-  const EventId id = (static_cast<EventId>(node.generation) << 32) | n;
+  out.time = node.time;
+  out.id = (static_cast<EventId>(node.generation) << 32) | n;
+  out.fn = std::move(node.fn);
   ++node.generation;  // retire the id; the slot is free for reuse
   free_slots_.push_back(n);
   --live_count_;
   --stored_count_;
-  return Entry{node.time, id, std::move(node.fn)};
+  return true;
 }
 
 bool EventQueue::advance() {
@@ -168,14 +180,23 @@ bool EventQueue::advance() {
       const int idx = next_occupied(level, cur + 1);
       if (idx < 0) continue;
       const auto b = static_cast<std::size_t>(idx);
+      Wheel& wheel = wheels_[level];
+      std::uint32_t n = wheel.buckets[b].head;
+      const bool lone = n == wheel.buckets[b].tail;
+      wheel.buckets[b] = List{};
+      wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+      if (lone) {
+        // Every lower level is empty, so a lone node is the earliest one
+        // stored: the descent would end with the cursor on its tick and
+        // the node alone in the ready list.  Go there directly.
+        cursor_ = tick_of(nodes_[n].time);
+        append(ready_, n);
+        return true;
+      }
       const std::uint64_t block_mask = ~std::uint64_t{0}
                                        << ((level + 1) * kBucketBits);
       cursor_ = (cursor_ & block_mask) |
                 (static_cast<std::uint64_t>(idx) << (level * kBucketBits));
-      Wheel& wheel = wheels_[level];
-      std::uint32_t n = wheel.buckets[b].head;
-      wheel.buckets[b] = List{};
-      wheel.occupied[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       while (n != kNil) {
         const std::uint32_t next = nodes_[n].next;
         place(n);

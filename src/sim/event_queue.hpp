@@ -9,6 +9,12 @@
 // FIFO order.  When it empties, the level-0 occupancy bitmap yields the
 // next populated one-tick bucket directly, and when a 256-tick block is
 // exhausted a bucket from the lowest-populated higher level cascades down.
+// A cascaded bucket that holds a single node (the common case on a sparse
+// timeline: about one event per 300 µs per line leaves most buckets with
+// one node) skips the descent: every lower level is empty, so that node is
+// the earliest one stored, and the cursor jumps straight to its tick with
+// the node as the whole ready list — the state the level-by-level descent
+// would reach, without re-placing it at each level on the way down.
 //
 // Storage is a single slab of nodes that doubles as the id slot table;
 // buckets, the ready run and the overflow are intrusive singly-linked
@@ -33,7 +39,8 @@
 // can never be confused with the event that used it before — the stale
 // id's generation no longer matches.  Closures are stored in a
 // small-buffer-optimised InlineFunction, so scheduling a typical
-// `[this, ...]` capture performs no heap allocation.
+// `[this, ...]` capture performs no heap allocation, and a trivially
+// copyable one costs one buffer copy into its node and one out at pop.
 #pragma once
 
 #include <array>
@@ -65,7 +72,7 @@ class EventQueue {
 
   /// Inserts an event; returns its id (usable with `cancel`).  Ids are
   /// never zero, so 0 is safe as a caller-side "no event" sentinel.
-  EventId push(common::SimTime time, EventFn fn);
+  EventId push(common::SimTime time, EventFn&& fn);
 
   /// Marks an event as cancelled.  Returns false when the id is unknown or
   /// already fired (cancelling those is a no-op, not an error).
@@ -80,15 +87,23 @@ class EventQueue {
   /// Removes and returns the earliest live event.  Precondition: !empty().
   Entry pop();
 
+  /// Moves the earliest live event into `out` and returns true when one is
+  /// due at or before `until`; otherwise leaves `out` alone and returns
+  /// false.  One search per event, where next_time() + pop() take two.
+  bool pop_due(common::SimTime until, Entry& out);
+
   /// Number of live (pending, non-cancelled) events.  Exact under lazy
   /// cancellation: a cancelled-but-unreaped entry is excluded the moment
   /// cancel() returns, so queue-depth introspection never overcounts.
   [[nodiscard]] std::size_t size() const { return live_count_; }
-  /// Historic name for size(); kept for existing call sites.
-  [[nodiscard]] std::size_t live_size() const { return live_count_; }
   /// Physical entries still held (live + cancelled-but-unreaped).  The gap
   /// between this and size() is the lazy-cancellation debt.
   [[nodiscard]] std::size_t stored_size() const { return stored_count_; }
+  /// Nodes routed to the ready list, a wheel bucket or the overflow since
+  /// construction: one per push plus one per node re-placed by a cascade or
+  /// an overflow drain.  placements() / pushes is the cascade work per event
+  /// (a plain counter, not a registry metric).
+  [[nodiscard]] std::uint64_t placements() const { return placements_; }
 
  private:
   /// 2^kBucketBits buckets per level; level l buckets span 2^(8l) ticks.
@@ -171,6 +186,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_count_ = 0;
   std::size_t stored_count_ = 0;
+  std::uint64_t placements_ = 0;
 };
 
 }  // namespace ah::sim

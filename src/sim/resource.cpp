@@ -26,17 +26,17 @@ void Resource::account_now() {
   }
 }
 
-bool Resource::submit(common::SimTime demand, Completion on_complete) {
+bool Resource::submit(common::SimTime demand, Completion&& on_complete) {
   return submit_job(demand, {}, std::move(on_complete)) != 0;
 }
 
 Resource::JobId Resource::submit_job(common::SimTime demand,
-                                     Completion on_start,
-                                     Completion on_complete) {
+                                     Completion&& on_start,
+                                     Completion&& on_complete) {
   account_now();
   const JobId id = next_job_id_++;
   if (busy_ < config_.servers) {
-    start_service(Job{demand, id, std::move(on_start), std::move(on_complete)});
+    start_service(demand, std::move(on_start), std::move(on_complete));
     return id;
   }
   if (queue_.size() >= config_.queue_capacity) {
@@ -97,26 +97,41 @@ std::size_t Resource::clear_queue() {
 
 void Resource::start_pending() {
   while (busy_ < config_.servers && !queue_.empty()) {
-    start_service(queue_.take_front());
+    Job job = queue_.take_front();
+    start_service(job.demand, std::move(job.on_start),
+                  std::move(job.on_complete));
   }
 }
 
-void Resource::start_service(Job job) {
+void Resource::start_service(common::SimTime demand, Completion&& on_start,
+                             Completion&& on_complete) {
   ++busy_;
-  const common::SimTime service = job.demand * config_.slowdown;
+  const common::SimTime service = demand * config_.slowdown;
   // The start signal fires before the completion event is scheduled, so a
   // start hook observes the queue state of the exact service-start instant
   // and any events it schedules order ahead of this job's completion.
-  if (job.on_start) job.on_start();
-  auto finish = [this, on_complete = std::move(job.on_complete)]() mutable {
-    on_service_done(std::move(on_complete));
-  };
-  static_assert(EventFn::stores_inline<decltype(finish)>(),
-                "service-completion closure must not allocate");
+  if (on_start) on_start();
+  // Parked only after the start hook ran: a hook that submits to this
+  // Resource again may grow in_service_.
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_service_.size());
+    in_service_.push_back(std::move(on_complete));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_service_[slot] = std::move(on_complete);
+  }
+  auto finish = [this, slot] { on_service_done(slot); };
+  static_assert(EventFn::relocates_trivially<decltype(finish)>(),
+                "service-completion closure must move as a buffer copy");
   sim_.schedule(service, std::move(finish));
 }
 
-void Resource::on_service_done(Completion on_complete) {
+void Resource::on_service_done(std::uint32_t slot) {
+  // Taken out before start_pending() can hand the slot to the next job.
+  Completion on_complete = std::move(in_service_[slot]);
+  free_slots_.push_back(slot);
   account_now();
   --busy_;
   ++completed_;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/analysis.hpp"
 #include "common/inline_function.hpp"
@@ -25,11 +26,12 @@ class Resource {
  public:
   /// Callback invoked when a job finishes service.  Capacity 16: hot-path
   /// callers park per-request state in a pooled struct and capture a single
-  /// pointer, and start_service wraps the Completion in a
-  /// [this, on_complete] closure that must still fit the simulator's
-  /// 48-byte EventFn inline buffer (sizeof(Completion) = 32 with alignment
-  /// and the two dispatch pointers, + 8 for `this` = 40 <= 48).  Oversized
-  /// captures (tests) fall back to the heap and still work.
+  /// pointer, so a waiting Job stays small (sizeof(Completion) = 32: the
+  /// buffer plus the invoke and manager pointers).  While its job is in
+  /// service the Completion waits in a per-Resource slot, and the scheduled
+  /// completion event captures only [this, slot]: a trivially copyable
+  /// 16-byte closure that moves through the event queue as a buffer copy.
+  /// Oversized captures (tests) fall back to the heap and still work.
   using Completion = common::InlineFunction<void(), 16>;
 
   struct Config {
@@ -54,15 +56,15 @@ class Resource {
   /// Submits a job with the given service demand.  Returns false (and drops
   /// the job) when the waiting line is full.  `on_complete` fires when the
   /// job finishes service.
-  bool submit(common::SimTime demand, Completion on_complete);
+  bool submit(common::SimTime demand, Completion&& on_complete);
 
   /// Like submit(), but returns the job's id (0 when rejected) and fires
   /// `on_start` at the instant the job enters service — before any of its
   /// service time elapses.  Callers use the start signal to anchor derived
   /// schedules (e.g. the network layer timestamps batched deliveries off
   /// the serialization start).
-  JobId submit_job(common::SimTime demand, Completion on_start,
-                   Completion on_complete);
+  JobId submit_job(common::SimTime demand, Completion&& on_start,
+                   Completion&& on_complete);
 
   /// Folds `extra` service demand into job `job` iff it is the tail of the
   /// waiting line (not yet started).  Returns false — and folds nothing —
@@ -118,8 +120,9 @@ class Resource {
   void account_now();
   /// Starts queued jobs while servers are available.
   void start_pending();
-  void start_service(Job job);
-  void on_service_done(Completion on_complete);
+  void start_service(common::SimTime demand, Completion&& on_start,
+                     Completion&& on_complete);
+  void on_service_done(std::uint32_t slot);
 
   Simulator& sim_;
   std::string name_;
@@ -128,6 +131,11 @@ class Resource {
   int busy_ = 0;
   common::RingBuffer<Job> queue_;
   JobId next_job_id_ = 1;
+  /// Completions of the jobs in service, indexed by the slot their
+  /// completion event carries; freed slots are reused LIFO.  Both vectors
+  /// grow to the peak in-service count and then stop allocating.
+  std::vector<Completion> in_service_;
+  std::vector<std::uint32_t> free_slots_;
 
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_ = 0;

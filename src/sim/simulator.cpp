@@ -8,21 +8,22 @@ AH_HOT_PATH_FILE;
 
 namespace ah::sim {
 
-EventId Simulator::schedule(common::SimTime delay, EventFn fn) {
+EventId Simulator::schedule(common::SimTime delay, EventFn&& fn) {
   return schedule_at(now_ + std::max(delay, common::SimTime::zero()),
                      std::move(fn));
 }
 
-EventId Simulator::schedule_at(common::SimTime at, EventFn fn) {
+EventId Simulator::schedule_at(common::SimTime at, EventFn&& fn) {
   return queue_.push(std::max(at, now_), std::move(fn));
 }
 
 std::uint64_t Simulator::run_until(common::SimTime until) {
   std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() <= until) {
-    auto entry = queue_.pop();
+  EventQueue::Entry entry{};
+  while (queue_.pop_due(until, entry)) {
     now_ = entry.time;
     entry.fn();
+    entry.fn.reset();  // release the closure now, as a per-event local would
     ++count;
   }
   // Advance the clock to the end of the window even if the queue drained

@@ -26,11 +26,12 @@ class Simulator {
   [[nodiscard]] common::SimTime now() const { return now_; }
 
   /// Schedules `fn` to run `delay` after now.  Negative delays clamp to now
-  /// (an event can never fire in the past).
-  EventId schedule(common::SimTime delay, EventFn fn);
+  /// (an event can never fire in the past).  The closure is taken by
+  /// rvalue reference and moved exactly once, into its queue node.
+  EventId schedule(common::SimTime delay, EventFn&& fn);
 
   /// Schedules `fn` at the absolute time `at` (clamped to now).
-  EventId schedule_at(common::SimTime at, EventFn fn);
+  EventId schedule_at(common::SimTime at, EventFn&& fn);
 
   /// Cancels a pending event; no-op for fired/unknown ids.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -47,7 +48,7 @@ class Simulator {
   bool step();
 
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::size_t pending_events() const { return queue_.live_size(); }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   /// Stored events including cancelled-but-unreclaimed slots — the lazy
   /// cancellation debt the calendar queue carries (see EventQueue).
   [[nodiscard]] std::size_t stored_events() const { return queue_.stored_size(); }

@@ -24,7 +24,7 @@ void SlotPool::account_now() {
   }
 }
 
-bool SlotPool::acquire(Granted on_granted) {
+bool SlotPool::acquire(Granted&& on_granted) {
   account_now();
   if (in_use_ < config_.slots) {
     ++in_use_;
@@ -82,8 +82,10 @@ void SlotPool::grant_next() {
   peak_in_use_ = std::max(peak_in_use_, in_use_);
   ++granted_;
   // Deferred so a release() deep in a completion chain cannot reenter the
-  // next holder's logic on the same stack.
-  sim_.schedule(common::SimTime::zero(), waiters_.take_front());
+  // next holder's logic on the same stack.  Scheduling runs nothing, so
+  // the waiter moves straight from the line into its queue node.
+  sim_.schedule(common::SimTime::zero(), std::move(waiters_.front()));
+  waiters_.pop_front();
 }
 
 }  // namespace ah::sim

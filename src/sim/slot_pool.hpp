@@ -43,7 +43,7 @@ class SlotPool {
   /// and the waiting queue is full; otherwise `on_granted` fires exactly
   /// once — immediately (synchronously) when a slot is free, or later in
   /// FIFO order.  Every grant must be paired with one release().
-  bool acquire(Granted on_granted);
+  bool acquire(Granted&& on_granted);
 
   /// Returns a slot; the longest-waiting acquirer (if any) is granted via a
   /// zero-delay event so grant callbacks never run inside release().

@@ -230,5 +230,24 @@ TEST_F(ResourceTest, ZeroDemandJobCompletesImmediately) {
   EXPECT_EQ(sim_.now(), SimTime::zero());
 }
 
+TEST_F(ResourceTest, StartHookResubmittingKeepsEachCompletion) {
+  // The start hook submits to the same Resource while the starting job's
+  // completion is not yet parked; the nested job starts at once and takes
+  // an in-service slot first.  Each completion must still fire exactly
+  // once, for its own job, and freed slots must be reused correctly.
+  Resource r(sim_, "r", {.servers = 3});
+  std::vector<int> order;
+  for (int round = 0; round < 3; ++round) {
+    r.submit_job(
+        SimTime::millis(10),
+        [&] { r.submit(SimTime::millis(5), [&] { order.push_back(2); }); },
+        [&] { order.push_back(1); });
+    sim_.run();
+  }
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 2, 1, 2, 1}));
+  EXPECT_EQ(r.completed(), 6u);
+  EXPECT_EQ(r.busy(), 0);
+}
+
 }  // namespace
 }  // namespace ah::sim
